@@ -19,8 +19,9 @@
 //! The deflation block is `W_i = D_i Λ_i` (eq. 8).
 
 use crate::decomp::Subdomain;
-use dd_eigen::{smallest_generalized, EigenError, LanczosOpts};
+use dd_eigen::{smallest_generalized_with, EigenError, LanczosOpts, ShiftFactor};
 use dd_linalg::{CsrMatrix, DMat};
+use dd_solver::{LdltBackend, LocalLdlt};
 
 /// Options controlling the deflation-space construction.
 #[derive(Clone, Debug)]
@@ -94,13 +95,43 @@ pub fn deflation_block(sub: &Subdomain, opts: &GeneoOpts) -> DeflationBlock {
     try_deflation_block(sub, opts).expect("GenEO eigensolve failed: shifted pencil not SPD")
 }
 
-/// Compute the deflation block of one subdomain.
+/// Compute the deflation block of one subdomain, ordering the shifted
+/// pencil `K = A^δ − σB` itself and factoring it with the scalar LDLᵀ —
+/// the oracle the set-up pipelines' [`try_deflation_block_for`] is pinned
+/// to.
 ///
 /// Returns an empty block (ν = 0) when the subdomain has no overlap (e.g.
 /// `N = 1`) — there is nothing to deflate.
 pub fn try_deflation_block(
     sub: &Subdomain,
     opts: &GeneoOpts,
+) -> Result<DeflationBlock, EigenError> {
+    deflation_block_with(sub, opts, ShiftFactor::default())
+}
+
+/// Compute the deflation block of one subdomain next to its Dirichlet
+/// factor `dirichlet` — the set-up pipelines' path. Under the supernodal
+/// backend `K` is factored with `dirichlet`'s fill-reducing permutation
+/// and backend, so the subdomain is ordered once; the elimination tree and
+/// supernodes still come from `K`'s own pattern, which need not lie inside
+/// the Dirichlet pattern. Under the scalar backend this is exactly
+/// [`try_deflation_block`].
+pub fn try_deflation_block_for(
+    sub: &Subdomain,
+    opts: &GeneoOpts,
+    dirichlet: &LocalLdlt,
+) -> Result<DeflationBlock, EigenError> {
+    let how = match dirichlet.backend() {
+        LdltBackend::Scalar => ShiftFactor::default(),
+        LdltBackend::Supernodal => ShiftFactor::reusing(dirichlet),
+    };
+    deflation_block_with(sub, opts, how)
+}
+
+fn deflation_block_with(
+    sub: &Subdomain,
+    opts: &GeneoOpts,
+    how: ShiftFactor,
 ) -> Result<DeflationBlock, EigenError> {
     let n = sub.n_local();
     if !sub.overlap.iter().any(|&o| o) || opts.nev == 0 {
@@ -111,7 +142,7 @@ pub fn try_deflation_block(
         });
     }
     let b = overlap_weighted_matrix(sub);
-    let eig = smallest_generalized(&sub.a_neumann, &b, opts.nev, &opts.lanczos)?;
+    let eig = smallest_generalized_with(&sub.a_neumann, &b, opts.nev, &opts.lanczos, how)?;
     // Keep every finite eigenpair; record how many pass the threshold.
     let finite = eig.values.iter().take_while(|&&l| l.is_finite()).count();
     let kept = eig

@@ -61,7 +61,7 @@ pub use error::{
 };
 pub use geneo::{
     deflation_block, nicolaides_block, nicolaides_fallback_block, try_deflation_block,
-    DeflationBlock, GeneoOpts,
+    try_deflation_block_for, DeflationBlock, GeneoOpts,
 };
 pub use precond::{
     builder::two_level, builder::TwoLevelOpts, RasPrecond, TwoLevelPrecond, Variant,

@@ -34,7 +34,7 @@ use crate::decomp::Decomposition;
 use crate::error::{
     CoarseOutcome, DeflationSource, PhaseOutcome, RecoveryRecord, RunReport, SpmdError,
 };
-use crate::geneo::{nicolaides_fallback_block, resize_block, try_deflation_block, DeflationBlock};
+use crate::geneo::{self, nicolaides_fallback_block, resize_block, DeflationBlock};
 use crate::masters::{group_of, nonuniform_masters};
 use crate::spmd::{
     classify_comm, classify_comm_at, comm_interrupt, dist_interrupt, interrupt_to_spmd, run_inner,
@@ -1320,7 +1320,7 @@ pub fn try_setup_partitioned<'a>(
     // recomputation is skipped — the documented degradation).
     let mut blocks = Vec::with_capacity(owned.len());
     let mut degraded_deflation = false;
-    for &s in &owned {
+    for (&s, factor) in owned.iter().zip(&factors) {
         let sub = &decomp.subdomains[s];
         let block = if opts.one_level_only {
             comm.compute(|| nicolaides_fallback_block(sub))
@@ -1332,7 +1332,9 @@ pub fn try_setup_partitioned<'a>(
                     }
                     b
                 }
-                None => match comm.compute(|| try_deflation_block(sub, &opts.geneo)) {
+                None => match comm
+                    .compute(|| geneo::try_deflation_block_for(sub, &opts.geneo, factor))
+                {
                     Ok(b) => {
                         cache.store_basis(s, &b, true);
                         b
@@ -1346,7 +1348,7 @@ pub fn try_setup_partitioned<'a>(
                 },
             }
         } else if s == me_world {
-            match comm.compute(|| try_deflation_block(sub, &opts.geneo)) {
+            match comm.compute(|| geneo::try_deflation_block_for(sub, &opts.geneo, factor)) {
                 Ok(b) => b,
                 Err(_) => {
                     degraded_deflation = true;

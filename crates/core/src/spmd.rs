@@ -26,7 +26,7 @@ use std::cell::RefCell;
 
 use crate::decomp::{Decomposition, Subdomain};
 use crate::error::{CoarseOutcome, DeflationSource, PhaseOutcome, RunReport, SpmdError};
-use crate::geneo::{nicolaides_fallback_block, resize_block, try_deflation_block, GeneoOpts};
+use crate::geneo::{nicolaides_fallback_block, resize_block, try_deflation_block_for, GeneoOpts};
 use crate::masters::{group_of, nonuniform_masters, uniform_masters};
 use crate::recovery::RecoveryOpts;
 use dd_comm::{CommError, Communicator};
@@ -93,10 +93,12 @@ pub struct SpmdOpts {
     pub election: Election,
     pub assembly: AssemblyVariant,
     pub ordering: Ordering,
-    /// Backend for the subdomain `A_i` factorizations. `Supernodal`
-    /// (default) uses the blocked multifrontal kernels; `Scalar` keeps the
-    /// pre-supernodal rounding for bisecting convergence diffs (same
-    /// pivoting, different — equally valid — summation order).
+    /// Backend for the subdomain `A_i` factorizations and GenEO's shifted
+    /// pencils. `Supernodal` (default) uses the blocked multifrontal
+    /// kernels and factors each pencil with its subdomain's Dirichlet
+    /// permutation; `Scalar` keeps the pre-supernodal rounding and the
+    /// oracle eigensolve for bisecting convergence diffs (same pivoting,
+    /// different — equally valid — summation order).
     pub local_ldlt: LdltBackend,
     pub gmres: GmresOpts,
     pub solver: SolverKind,
@@ -857,7 +859,7 @@ pub fn try_setup_with<'a>(
     let eig = if comm.should_fail("eigensolve") {
         Err(None)
     } else {
-        comm.compute(|| try_deflation_block(sub, &opts.geneo))
+        comm.compute(|| try_deflation_block_for(sub, &opts.geneo, &factor))
             .map_err(Some)
     };
     let block = match eig {
@@ -1555,10 +1557,11 @@ pub fn debug_apply_adef1(
     };
     let factor = LocalLdlt::factor(&sub.a_dirichlet, opts.ordering, opts.local_ldlt)
         .map_err(|source| SpmdError::LocalFactorization { rank, source })?;
-    let block = try_deflation_block(sub, &opts.geneo).map_err(|e| SpmdError::Protocol {
-        rank,
-        what: format!("eigensolve failed: {e}"),
-    })?;
+    let block =
+        try_deflation_block_for(sub, &opts.geneo, &factor).map_err(|e| SpmdError::Protocol {
+            rank,
+            what: format!("eigensolve failed: {e}"),
+        })?;
     let nu = comm.try_allreduce_max_usize(block.kept.max(1))?;
     let w = resize_block(&block, nu);
     let nu_mine = w.cols();

@@ -13,15 +13,21 @@
 //! symmetric positive definite whenever `ker A ∩ ker B = {0}` (true for
 //! GenEO pencils: the kernel of the Neumann matrix consists of global
 //! rigid-body/constant modes which do not vanish on the overlap). We factor
-//! `K` once with the sparse LDLᵀ solver and run the Lanczos recurrence on
-//! the operator `op = K⁻¹ B` in the `B`-(semi-)inner product, with full
-//! reorthogonalization. Eigenvalues of the pencil are recovered from Ritz
+//! `K` once ([`crate::shift`]) and run the Lanczos recurrence on the
+//! operator `op = K⁻¹ B` in the `B`-(semi-)inner product, with full
+//! reorthogonalization. [`smallest_generalized`] orders `K` itself and
+//! factors it with the scalar LDLᵀ — the oracle. The GenEO set-up
+//! pipelines call [`smallest_generalized_with`], handing in the
+//! fill-reducing permutation and backend of the subdomain's Dirichlet
+//! factor, so each subdomain is ordered once and `K` runs through the
+//! supernodal kernels. Eigenvalues of the pencil are recovered from Ritz
 //! values `θ` of `op` as `λ = σ + 1/θ`; the largest `θ` correspond to the
 //! smallest `λ` — exactly the ones GenEO wants.
 
+use crate::shift::{factor_shifted, xorshift_fill, ShiftFactor};
 use crate::tridiag::tridiag_eig;
 use dd_linalg::{vector, CsrMatrix, DMat};
-use dd_solver::{LdltError, Ordering, SparseLdlt};
+use dd_solver::{LdltError, Ordering};
 
 /// Options for [`smallest_generalized`].
 #[derive(Clone, Debug)]
@@ -37,7 +43,8 @@ pub struct LanczosOpts {
     pub tol: f64,
     /// Deterministic seed for the starting vector.
     pub seed: u64,
-    /// Ordering used for the factorization of `A − σB`.
+    /// Ordering used for the factorization of `A − σB` when the caller
+    /// supplies no permutation.
     pub ordering: Ordering,
 }
 
@@ -87,19 +94,6 @@ impl std::fmt::Display for EigenError {
 
 impl std::error::Error for EigenError {}
 
-/// Tiny deterministic xorshift generator for the starting vector (keeps the
-/// solver dependency-free and reproducible).
-fn xorshift_fill(seed: u64, out: &mut [f64]) {
-    let mut s = seed.max(1);
-    for v in out {
-        s ^= s << 13;
-        s ^= s >> 7;
-        s ^= s << 17;
-        // Map to (−0.5, 0.5).
-        *v = (s >> 11) as f64 / (1u64 << 53) as f64 - 0.5;
-    }
-}
-
 /// Compute the `nev` smallest eigenpairs of `A x = λ B x`.
 ///
 /// See the module documentation for the assumptions on `A` and `B`.
@@ -111,6 +105,17 @@ pub fn smallest_generalized(
     b: &CsrMatrix,
     nev: usize,
     opts: &LanczosOpts,
+) -> Result<GeneralizedEig, EigenError> {
+    smallest_generalized_with(a, b, nev, opts, ShiftFactor::default())
+}
+
+/// [`smallest_generalized`] with `K = A − σB` factored as `how` says.
+pub fn smallest_generalized_with(
+    a: &CsrMatrix,
+    b: &CsrMatrix,
+    nev: usize,
+    opts: &LanczosOpts,
+    how: ShiftFactor,
 ) -> Result<GeneralizedEig, EigenError> {
     if a.rows() != a.cols() || b.rows() != b.cols() || a.rows() != b.rows() {
         return Err(EigenError::ShapeMismatch);
@@ -125,13 +130,8 @@ pub fn smallest_generalized(
             converged: 0,
         });
     }
-    let norm_a = a.norm_inf().max(f64::MIN_POSITIVE);
-    let norm_b = b.norm_inf().max(f64::MIN_POSITIVE);
-    let sigma = opts.shift.unwrap_or(-0.01 * norm_a / norm_b);
-    assert!(sigma < 0.0, "shift must lie strictly below a PSD spectrum");
-    // K = A − σB, SPD under the stated assumptions.
-    let k_mat = a.add_scaled(-sigma, b);
-    let k = SparseLdlt::factor(&k_mat, opts.ordering).map_err(EigenError::ShiftFactorization)?;
+    let shifted = factor_shifted(a, b, opts.shift, opts.ordering, how)?;
+    let (sigma, norm_a, k) = (shifted.sigma, shifted.norm_a, &shifted.k);
 
     let m_max = opts.max_subspace.clamp(nev + 2, n.max(nev + 2));
     // Lanczos basis Q (B-orthonormal), and BQ = B·Q kept alongside so that

@@ -4,15 +4,17 @@
 //! as pluggable; ARPACK was their choice, but the GenEO construction only
 //! needs *some* solver for the smallest pencil eigenpairs).
 //!
-//! Algorithm: with `K = A − σB` SPD factored once, iterate
+//! Algorithm: with `K = A − σB` SPD factored once (the step shared with
+//! the Lanczos solver, [`crate::shift`]), iterate
 //! `X ← K⁻¹ B X`, B-orthonormalize, and solve the projected `m × m`
 //! Rayleigh–Ritz problem until the eigenvalue estimates stabilize.
 //! Simpler and more robust than Lanczos, at the cost of more `K⁻¹`
 //! applications per converged pair.
 
 use crate::lanczos::{EigenError, GeneralizedEig, LanczosOpts};
+use crate::shift::{factor_shifted, xorshift_fill, ShiftFactor};
 use dd_linalg::{jacobi, vector, CsrMatrix, DMat};
-use dd_solver::SparseLdlt;
+use dd_solver::Ordering;
 
 /// Options for [`smallest_generalized_si`].
 #[derive(Clone, Debug)]
@@ -41,16 +43,6 @@ impl Default for SubspaceOpts {
     }
 }
 
-fn xorshift_fill(seed: u64, out: &mut [f64]) {
-    let mut s = seed.max(1);
-    for v in out {
-        s ^= s << 13;
-        s ^= s >> 7;
-        s ^= s << 17;
-        *v = (s >> 11) as f64 / (1u64 << 53) as f64 - 0.5;
-    }
-}
-
 /// Compute the `nev` smallest eigenpairs of `A x = λ B x` (same contract as
 /// [`crate::lanczos::smallest_generalized`]) by inverse subspace iteration.
 pub fn smallest_generalized_si(
@@ -72,12 +64,14 @@ pub fn smallest_generalized_si(
             converged: 0,
         });
     }
-    let norm_a = a.norm_inf().max(f64::MIN_POSITIVE);
-    let norm_b = b.norm_inf().max(f64::MIN_POSITIVE);
-    let sigma = opts.shift.unwrap_or(-0.01 * norm_a / norm_b);
-    let k_mat = a.add_scaled(-sigma, b);
-    let k = SparseLdlt::factor(&k_mat, dd_solver::Ordering::MinDegree)
-        .map_err(EigenError::ShiftFactorization)?;
+    let shifted = factor_shifted(
+        a,
+        b,
+        opts.shift,
+        Ordering::MinDegree,
+        ShiftFactor::default(),
+    )?;
+    let (norm_a, k) = (shifted.norm_a, &shifted.k);
 
     let m = (nev + opts.guard).min(n);
     // Start from random vectors pushed into range(K⁻¹B).

@@ -30,6 +30,18 @@ pub enum Ordering {
     MinDegree,
 }
 
+impl Ordering {
+    /// The permutation this ordering computes for `a` (`perm[i]` = original
+    /// index placed at position `i`).
+    pub(crate) fn permutation(self, a: &CsrMatrix) -> Vec<usize> {
+        match self {
+            Ordering::Natural => (0..a.rows()).collect(),
+            Ordering::Rcm => ordering::reverse_cuthill_mckee(a),
+            Ordering::MinDegree => ordering::min_degree(a),
+        }
+    }
+}
+
 /// What to do when a pivot is (numerically) zero.
 ///
 /// Coarse operators built from deflation vectors can be exactly rank
@@ -104,6 +116,15 @@ pub fn etree_and_counts(a: &CsrMatrix) -> (Vec<usize>, Vec<usize>) {
     (parent, lnz)
 }
 
+/// `A(perm, perm)`, or a plain copy when `perm` is the identity.
+pub(crate) fn permute_unless_identity(a: &CsrMatrix, perm: &[usize]) -> CsrMatrix {
+    if perm.iter().enumerate().all(|(i, &p)| i == p) {
+        a.clone()
+    } else {
+        a.permute_sym(perm)
+    }
+}
+
 /// Factorization `P A Pᵀ = L D Lᵀ` with unit lower-triangular `L` (stored by
 /// columns) and diagonal `D`.
 pub struct SparseLdlt {
@@ -134,23 +155,25 @@ impl SparseLdlt {
         ord: Ordering,
         policy: PivotPolicy,
     ) -> Result<Self, LdltError> {
+        Self::factor_with_perm(a, &ord.permutation(a), policy)
+    }
+
+    /// Factor with a caller-supplied fill-reducing permutation (`perm[i]` =
+    /// original index placed at position `i`), skipping the ordering step.
+    /// Passing [`SparseLdlt::perm`] of an earlier factorization of `a`
+    /// reproduces that factorization bit for bit.
+    pub fn factor_with_perm(
+        a: &CsrMatrix,
+        perm: &[usize],
+        policy: PivotPolicy,
+    ) -> Result<Self, LdltError> {
         assert_eq!(a.rows(), a.cols(), "ldlt: square input");
+        assert_eq!(perm.len(), a.rows(), "ldlt: permutation length");
         debug_assert!(
             a.symmetry_defect() <= 1e-10 * a.norm_inf().max(1.0),
             "ldlt: input must be symmetric"
         );
-        let n = a.rows();
-        let perm: Vec<usize> = match ord {
-            Ordering::Natural => (0..n).collect(),
-            Ordering::Rcm => ordering::reverse_cuthill_mckee(a),
-            Ordering::MinDegree => ordering::min_degree(a),
-        };
-        let pa = if matches!(ord, Ordering::Natural) {
-            a.clone()
-        } else {
-            a.permute_sym(&perm)
-        };
-        Self::factor_permuted(&pa, perm, policy)
+        Self::factor_permuted(&permute_unless_identity(a, perm), perm.to_vec(), policy)
     }
 
     /// Factor an already-reordered matrix, recording `perm` for the solves.
@@ -274,6 +297,12 @@ impl SparseLdlt {
         self.boosted
     }
 
+    /// The fill-reducing permutation the factor was computed with
+    /// (`perm[i]` = original index placed at position `i`).
+    pub fn perm(&self) -> &[usize] {
+        &self.perm
+    }
+
     /// Multiply-add estimate of the numeric factorization: each column `j`
     /// with `c_j` sub-diagonal entries costs `c_j (c_j + 3)` operations in
     /// the up-looking sweep (the standard sparse-LDLᵀ operation count).
@@ -321,11 +350,7 @@ impl SparseLdlt {
     /// Panics in debug builds if the pattern differs from the factored one.
     pub fn refactor(&mut self, a: &CsrMatrix) -> Result<(), LdltError> {
         assert_eq!(a.rows(), self.n, "refactor: order mismatch");
-        let pa = if self.perm.iter().enumerate().all(|(i, &p)| i == p) {
-            a.clone()
-        } else {
-            a.permute_sym(&self.perm)
-        };
+        let pa = permute_unless_identity(a, &self.perm);
         let fresh = Self::factor_permuted(&pa, self.perm.clone(), PivotPolicy::Reject)?;
         debug_assert_eq!(fresh.lp, self.lp, "refactor: pattern changed");
         *self = fresh;

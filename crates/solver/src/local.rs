@@ -3,10 +3,15 @@
 //! ([`SupernodalLdlt`]).
 //!
 //! The SPMD layer factors every subdomain Dirichlet matrix through this
-//! wrapper so the backend is a run-time option: the scalar path stays the
-//! bit-for-bit differential oracle (and the default, keeping every committed
-//! convergence baseline untouched), while the supernodal path trades
-//! last-ulp-identical trajectories for the blocked kernels' raw speed.
+//! wrapper so the backend is a run-time option. The set-up pipelines
+//! default to the supernodal backend for the blocked kernels' raw speed;
+//! the scalar path stays the bit-for-bit differential oracle it is pinned
+//! against.
+//!
+//! [`LocalLdlt::perm`] exposes the fill-reducing permutation a factor was
+//! computed with, and [`LocalLdlt::factor_with_perm`] factors another
+//! matrix on the same unknowns with it: GenEO's shifted pencil reuses the
+//! Dirichlet factor's ordering instead of computing its own.
 
 use crate::ldlt::{LdltError, Ordering, PivotPolicy, SparseLdlt};
 use crate::supernodal::SupernodalLdlt;
@@ -15,7 +20,9 @@ use dd_linalg::{CsrMatrix, DMat};
 /// Which factorization backs a [`LocalLdlt`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum LdltBackend {
-    /// Up-looking scalar LDLᵀ — the differential oracle and default.
+    /// Up-looking scalar LDLᵀ — the differential oracle. It is the
+    /// `Default` of this type; the set-up pipelines' `SpmdOpts` choose
+    /// [`LdltBackend::Supernodal`] instead.
     #[default]
     Scalar,
     /// Multifrontal LDLᵀ with relaxed supernodes and register-blocked
@@ -47,6 +54,45 @@ impl LocalLdlt {
             LdltBackend::Supernodal => {
                 SupernodalLdlt::factor_with(a, ord, pivot).map(LocalLdlt::Supernodal)
             }
+        }
+    }
+
+    /// Factor with a caller-supplied fill-reducing permutation, skipping
+    /// the ordering step (see [`SparseLdlt::factor_with_perm`] and
+    /// [`SupernodalLdlt::factor_with_perm`]). `perm` may come from a
+    /// matrix with a different pattern on the same unknowns; passing
+    /// [`LocalLdlt::perm`] of an earlier factorization of `a` with the same
+    /// backend reproduces it bit for bit.
+    pub fn factor_with_perm(
+        a: &CsrMatrix,
+        perm: &[usize],
+        pivot: PivotPolicy,
+        backend: LdltBackend,
+    ) -> Result<Self, LdltError> {
+        match backend {
+            LdltBackend::Scalar => {
+                SparseLdlt::factor_with_perm(a, perm, pivot).map(LocalLdlt::Scalar)
+            }
+            LdltBackend::Supernodal => {
+                SupernodalLdlt::factor_with_perm(a, perm, pivot).map(LocalLdlt::Supernodal)
+            }
+        }
+    }
+
+    pub fn backend(&self) -> LdltBackend {
+        match self {
+            LocalLdlt::Scalar(_) => LdltBackend::Scalar,
+            LocalLdlt::Supernodal(_) => LdltBackend::Supernodal,
+        }
+    }
+
+    /// The final fill-reducing permutation (`perm[i]` = original index
+    /// placed at position `i`; the supernodal backend's includes its
+    /// elimination-tree postorder).
+    pub fn perm(&self) -> &[usize] {
+        match self {
+            LocalLdlt::Scalar(f) => f.perm(),
+            LocalLdlt::Supernodal(f) => f.perm(),
         }
     }
 
@@ -134,6 +180,22 @@ mod tests {
             assert_eq!(f.n(), 40);
             assert_eq!(f.n_boosted(), 0);
             assert_eq!(f.inertia(), (0, 0, 40), "SPD: all pivots positive");
+        }
+    }
+
+    #[test]
+    fn refactoring_with_the_own_permutation_is_bit_identical() {
+        let a = laplacian_1d(40);
+        let b: Vec<f64> = (0..40).map(|i| (i as f64 * 0.7).cos()).collect();
+        for backend in [LdltBackend::Scalar, LdltBackend::Supernodal] {
+            let f = LocalLdlt::factor(&a, Ordering::MinDegree, backend).unwrap();
+            let g =
+                LocalLdlt::factor_with_perm(&a, f.perm(), PivotPolicy::default(), backend).unwrap();
+            assert_eq!(g.backend(), backend);
+            assert_eq!(g.perm(), f.perm());
+            assert_eq!(g.nnz_l(), f.nnz_l());
+            let (x, y) = (f.solve(&b), g.solve(&b));
+            assert!(x.iter().zip(&y).all(|(p, q)| p.to_bits() == q.to_bits()));
         }
     }
 }

@@ -21,17 +21,21 @@
 //!    width 1) into wide panels;
 //! 3. per-supernode frontal assembly: original matrix entries plus the
 //!    *extend-add* of the children's Schur complements via relative
-//!    indices;
+//!    indices. Complements wait for their parent on one stack as packed
+//!    lower triangles, and a root front is factored in place in the
+//!    panel storage: on 3D subdomains the root is a dense block holding
+//!    most of the factor, so this keeps the transient memory a
+//!    factorization adds on top of the factors already held small;
 //! 4. blocked partial LDLᵀ of the first `w` front columns (unblocked panel
 //!    factor + tiled trailing update), with the same MUMPS-style static
-//!    pivot boosting as the scalar path.
+//!    pivot boosting as the scalar path. Each panel keeps only the
+//!    strictly-lower entries of its columns.
 //!
 //! The scalar [`crate::SparseLdlt`] stays the differential oracle: both
 //! factorizations are pinned against each other to 1e-12 in
 //! `tests/kernel_differential.rs`, and `kernel_bench` gates the speedup.
 
-use crate::ldlt::{etree_and_counts, LdltError, Ordering, PivotPolicy};
-use crate::ordering;
+use crate::ldlt::{etree_and_counts, permute_unless_identity, LdltError, Ordering, PivotPolicy};
 use dd_linalg::smallgemm::gemm_nt_minus;
 use dd_linalg::CsrMatrix;
 
@@ -61,9 +65,10 @@ pub struct SupernodalLdlt {
     /// columns.
     rows_ptr: Vec<usize>,
     rows: Vec<u32>,
-    /// Dense panels: supernode `s` stores its `nr × w` slice of `L`
-    /// column-major at `panels[panel_ptr[s]..]` (unit diagonal implicit,
-    /// zeros above it).
+    /// Panels: supernode `s` stores its `nr × w` slice of `L` at
+    /// `panels[panel_ptr[s]..]`, column by column, each column holding only
+    /// its strictly-lower entries (see [`col_off`]; the unit diagonal is
+    /// implicit).
     panel_ptr: Vec<usize>,
     panels: Vec<f64>,
     d: Vec<f64>,
@@ -86,22 +91,28 @@ impl SupernodalLdlt {
         ord: Ordering,
         policy: PivotPolicy,
     ) -> Result<Self, LdltError> {
+        Self::factor_with_perm(a, &ord.permutation(a), policy)
+    }
+
+    /// Factor with a caller-supplied fill-reducing permutation, skipping
+    /// the ordering step. The elimination tree, its postorder and the
+    /// supernode partition are rebuilt from `a`'s own pattern, so `perm`
+    /// may come from a matrix with a different pattern on the same
+    /// unknowns. Passing [`SupernodalLdlt::perm`] of an earlier
+    /// factorization of `a` reproduces it bit for bit: that permutation is
+    /// already postordered, so the postorder below is the identity.
+    pub fn factor_with_perm(
+        a: &CsrMatrix,
+        perm: &[usize],
+        policy: PivotPolicy,
+    ) -> Result<Self, LdltError> {
         assert_eq!(a.rows(), a.cols(), "supernodal ldlt: square input");
+        assert_eq!(perm.len(), a.rows(), "supernodal ldlt: permutation length");
         debug_assert!(
             a.symmetry_defect() <= 1e-10 * a.norm_inf().max(1.0),
             "supernodal ldlt: input must be symmetric"
         );
-        let n = a.rows();
-        let perm: Vec<usize> = match ord {
-            Ordering::Natural => (0..n).collect(),
-            Ordering::Rcm => ordering::reverse_cuthill_mckee(a),
-            Ordering::MinDegree => ordering::min_degree(a),
-        };
-        let pa = if matches!(ord, Ordering::Natural) {
-            a.clone()
-        } else {
-            a.permute_sym(&perm)
-        };
+        let pa = permute_unless_identity(a, perm);
         // Postorder the elimination tree: subtrees become column-contiguous,
         // which is what lets the chain amalgamation below form wide panels
         // on scattered orderings like minimum degree. Pattern-wise this is a
@@ -113,7 +124,7 @@ impl SupernodalLdlt {
             let full: Vec<usize> = post.iter().map(|&p| perm[p]).collect();
             Self::factor_permuted(&pa2, full, policy)
         } else {
-            Self::factor_permuted(&pa, perm, policy)
+            Self::factor_permuted(&pa, perm.to_vec(), policy)
         }
     }
 
@@ -194,13 +205,20 @@ impl SupernodalLdlt {
         }
 
         // Numeric phase: multifrontal with per-supernode pending updates.
+        // A root front is factored in place at the start of its panel, so
+        // the buffer leaves room for the unpacked `nr × nr` front of every
+        // root; the surplus is released once the panels are packed.
         let mut panel_ptr = vec![0usize; nsup + 1];
+        let mut panels_len = 0usize;
         for s in 0..nsup {
             let nr = rows_ptr[s + 1] - rows_ptr[s];
             let w = sn_col[s + 1] - sn_col[s];
-            panel_ptr[s + 1] = panel_ptr[s] + nr * w;
+            panel_ptr[s + 1] = panel_ptr[s] + col_off(nr, w);
+            if nr == w {
+                panels_len = panels_len.max(panel_ptr[s] + nr * nr);
+            }
         }
-        let mut panels = vec![0.0f64; panel_ptr[nsup]];
+        let mut panels = vec![0.0f64; panels_len.max(panel_ptr[nsup])];
         let mut d = vec![0.0f64; n];
         let scale = pa.norm_inf().max(1.0);
         let null_tol = match policy {
@@ -209,12 +227,33 @@ impl SupernodalLdlt {
         };
         let mut boosted_cols: Vec<u32> = Vec::new();
 
-        let mut front: Vec<f64> = Vec::new();
         let mut ld: Vec<f64> = Vec::new();
         let mut relmap = vec![0usize; n];
-        // Children Schur complements waiting for their parent's front:
-        // (row indices, dense lower nu×nu column-major).
-        let mut pending: Vec<Vec<(Vec<u32>, Vec<f64>)>> = vec![Vec::new(); nsup];
+        // Schur complements wait for their parent's front on one stack,
+        // each as its lower triangle packed column by column. Supernodes
+        // are postordered, so when a front is assembled its children's
+        // complements are the top of the stack, in child order. The rows
+        // of child `c`'s complement are its below-diagonal rows. The stack
+        // and the shared front buffer are sized once, from the symbolic
+        // structure, so neither is ever reallocated.
+        let below = |c: usize| &rows[rows_ptr[c] + sn_col[c + 1] - sn_col[c]..rows_ptr[c + 1]];
+        let packed = |nu: usize| nu * (nu + 1) / 2;
+        let (mut depth, mut stack_peak, mut front_max) = (0usize, 0usize, 0usize);
+        for s in 0..nsup {
+            let nu = below(s).len();
+            depth -= children[s]
+                .iter()
+                .map(|&c| packed(below(c).len()))
+                .sum::<usize>();
+            depth += packed(nu);
+            stack_peak = stack_peak.max(depth);
+            if nu > 0 {
+                let nr = rows_ptr[s + 1] - rows_ptr[s];
+                front_max = front_max.max(nr * nr);
+            }
+        }
+        let mut updates: Vec<f64> = Vec::with_capacity(stack_peak);
+        let mut front_buf = vec![0.0f64; front_max];
 
         for s in 0..nsup {
             let (first, last) = (sn_col[s], sn_col[s + 1] - 1);
@@ -225,12 +264,19 @@ impl SupernodalLdlt {
                 relmap[gi as usize] = li;
                 mark[gi as usize] = s as u32;
             }
-            // The front buffer is reused across supernodes; only its lower
-            // triangle is ever read (the factor tolerates garbage above the
-            // diagonal), so only that region needs zeroing.
-            if front.len() < nr * nr {
-                front.resize(nr * nr, 0.0);
-            }
+            // A root supernode (no rows below its columns) is factored in
+            // place at the start of its panel, so the shared front buffer
+            // never grows to the largest front — on 3D subdomains a dense
+            // root block holding most of the factor. Only the lower
+            // triangle of a front is ever read (the factor tolerates
+            // garbage above the diagonal), so only that region needs
+            // zeroing.
+            let in_place = nr == w;
+            let front: &mut [f64] = if in_place {
+                &mut panels[panel_ptr[s]..panel_ptr[s] + nr * nr]
+            } else {
+                &mut front_buf[..nr * nr]
+            };
             for j in 0..nr {
                 front[j * nr + j..(j + 1) * nr].fill(0.0);
             }
@@ -245,17 +291,26 @@ impl SupernodalLdlt {
                 }
             }
             // Extend-add the children's Schur complements.
-            for (crows, cu) in pending[s].drain(..) {
-                let nu = crows.len();
+            let base = updates.len()
+                - children[s]
+                    .iter()
+                    .map(|&c| packed(below(c).len()))
+                    .sum::<usize>();
+            let mut cols = &updates[base..];
+            for &c in &children[s] {
+                let crows = below(c);
                 for (cj, &gj) in crows.iter().enumerate() {
                     debug_assert_eq!(mark[gj as usize], s as u32, "front misses child row");
                     let lj = relmap[gj as usize];
                     let fcol = &mut front[lj * nr..(lj + 1) * nr];
-                    for ci in cj..nu {
-                        fcol[relmap[crows[ci] as usize]] += cu[ci + cj * nu];
+                    let (col, rest) = cols.split_at(crows.len() - cj);
+                    for (&gi, &v) in crows[cj..].iter().zip(col) {
+                        fcol[relmap[gi as usize]] += v;
                     }
+                    cols = rest;
                 }
             }
+            updates.truncate(base);
 
             // Blocked partial LDLᵀ of the first `w` columns.
             let mut jb = 0usize;
@@ -333,26 +388,32 @@ impl SupernodalLdlt {
                 jb += wb;
             }
 
-            // Store the panel (zeros above the unit diagonal).
+            if in_place {
+                // Pack the columns toward the panel start. A column never
+                // moves right, so later columns are read before anything
+                // overwrites them.
+                for jc in 0..w {
+                    front.copy_within(jc * nr + jc + 1..(jc + 1) * nr, col_off(nr, jc));
+                }
+                continue;
+            }
+            let front = &front_buf[..nr * nr];
+            // Store the panel.
             let pslice = &mut panels[panel_ptr[s]..panel_ptr[s + 1]];
             for jc in 0..w {
                 let src = &front[jc * nr + jc + 1..(jc + 1) * nr];
-                pslice[jc * nr + jc + 1..(jc + 1) * nr].copy_from_slice(src);
+                pslice[col_off(nr, jc)..col_off(nr, jc + 1)].copy_from_slice(src);
             }
 
             // Park the Schur complement for the supernodal parent.
-            let nu = nr - w;
-            if nu > 0 {
-                let p = sn_parent[s];
-                debug_assert_ne!(p, NONE, "non-root supernode with empty parent");
-                let mut u = vec![0.0f64; nu * nu];
-                for cj in 0..nu {
-                    let src = &front[(w + cj) * nr + w + cj..(w + cj + 1) * nr];
-                    u[cj * nu + cj..(cj + 1) * nu].copy_from_slice(src);
-                }
-                pending[p].push((srows[w..].to_vec(), u));
+            debug_assert_ne!(sn_parent[s], NONE, "non-root supernode with empty parent");
+            for cj in w..nr {
+                updates.extend_from_slice(&front[cj * nr + cj..(cj + 1) * nr]);
             }
         }
+        debug_assert!(updates.is_empty(), "unconsumed Schur complements");
+        panels.truncate(panel_ptr[nsup]);
+        panels.shrink_to_fit();
 
         Ok(SupernodalLdlt {
             n,
@@ -402,6 +463,13 @@ impl SupernodalLdlt {
         self.boosted_cols.len()
     }
 
+    /// The fill-reducing permutation the factor was computed with,
+    /// elimination-tree postorder included (`perm[i]` = original index
+    /// placed at position `i`).
+    pub fn perm(&self) -> &[usize] {
+        &self.perm
+    }
+
     /// Matrix inertia (#negative, #zero, #positive pivots).
     pub fn inertia(&self) -> (usize, usize, usize) {
         let mut neg = 0;
@@ -428,15 +496,12 @@ impl SupernodalLdlt {
         // L y = z, panel by panel.
         for s in 0..nsup {
             let srows = &self.rows[self.rows_ptr[s]..self.rows_ptr[s + 1]];
-            let nr = srows.len();
             let w = self.sn_col[s + 1] - self.sn_col[s];
-            let panel = &self.panels[self.panel_ptr[s]..self.panel_ptr[s + 1]];
             for jc in 0..w {
                 let zj = z[self.sn_col[s] + jc];
                 if zj != 0.0 {
-                    let col = &panel[jc * nr..(jc + 1) * nr];
-                    for li in jc + 1..nr {
-                        z[srows[li] as usize] -= col[li] * zj;
+                    for (&gi, &v) in srows[jc + 1..].iter().zip(self.panel_col(s, jc)) {
+                        z[gi as usize] -= v * zj;
                     }
                 }
             }
@@ -448,14 +513,11 @@ impl SupernodalLdlt {
         // Lᵀ x = w, reverse panel order.
         for s in (0..nsup).rev() {
             let srows = &self.rows[self.rows_ptr[s]..self.rows_ptr[s + 1]];
-            let nr = srows.len();
             let w = self.sn_col[s + 1] - self.sn_col[s];
-            let panel = &self.panels[self.panel_ptr[s]..self.panel_ptr[s + 1]];
             for jc in (0..w).rev() {
-                let col = &panel[jc * nr..(jc + 1) * nr];
                 let mut acc = z[self.sn_col[s] + jc];
-                for li in jc + 1..nr {
-                    acc -= col[li] * z[srows[li] as usize];
+                for (&gi, &v) in srows[jc + 1..].iter().zip(self.panel_col(s, jc)) {
+                    acc -= v * z[gi as usize];
                 }
                 z[self.sn_col[s] + jc] = acc;
             }
@@ -514,12 +576,10 @@ impl SupernodalLdlt {
         let mut t = vec![1.0f64; n];
         let mut t_abs = vec![1.0f64; n];
         for sn in 0..nsup {
-            let nr = self.rows_ptr[sn + 1] - self.rows_ptr[sn];
             let w = self.sn_col[sn + 1] - self.sn_col[sn];
-            let panel = &self.panels[self.panel_ptr[sn]..self.panel_ptr[sn + 1]];
             for jc in 0..w {
                 let p = self.sn_col[sn] + jc;
-                for &v in &panel[jc * nr + jc + 1..(jc + 1) * nr] {
+                for &v in self.panel_col(sn, jc) {
                     t[p] += v;
                     t_abs[p] += v.abs();
                 }
@@ -531,18 +591,15 @@ impl SupernodalLdlt {
         let mut c_abs = vec![0.0f64; n];
         for sn in 0..nsup {
             let srows = &self.rows[self.rows_ptr[sn]..self.rows_ptr[sn + 1]];
-            let nr = srows.len();
             let w = self.sn_col[sn + 1] - self.sn_col[sn];
-            let panel = &self.panels[self.panel_ptr[sn]..self.panel_ptr[sn + 1]];
             for jc in 0..w {
                 let p = self.sn_col[sn] + jc;
                 let (tp, tpa) = (t[p] * self.d[p], t_abs[p] * self.d[p].abs());
                 c[p] += tp;
                 c_abs[p] += tpa;
-                for li in jc + 1..nr {
-                    let v = panel[jc * nr + li];
-                    c[srows[li] as usize] += tp * v;
-                    c_abs[srows[li] as usize] += tpa * v.abs();
+                for (&gi, &v) in srows[jc + 1..].iter().zip(self.panel_col(sn, jc)) {
+                    c[gi as usize] += tp * v;
+                    c_abs[gi as usize] += tpa * v.abs();
                 }
             }
         }
@@ -573,27 +630,35 @@ impl SupernodalLdlt {
     /// `0.0` yields a denormal too small to matter or detect.)
     #[doc(hidden)]
     pub fn corrupt_panel_value_for_tests(&mut self, index: usize, bit: u32) {
-        let nsup = self.n_supernodes();
-        let mut seen: usize = 0;
-        for sn in 0..nsup {
-            let nr = self.rows_ptr[sn + 1] - self.rows_ptr[sn];
-            let w = self.sn_col[sn + 1] - self.sn_col[sn];
-            for jc in 0..w {
-                for li in jc + 1..nr {
-                    let at = self.panel_ptr[sn] + jc * nr + li;
-                    if self.panels[at] != 0.0 {
-                        if seen == index {
-                            self.panels[at] =
-                                f64::from_bits(self.panels[at].to_bits() ^ (1u64 << bit));
-                            return;
-                        }
-                        seen += 1;
-                    }
-                }
-            }
-        }
-        panic!("corrupt_panel_value_for_tests: index {index} out of range");
+        // Packed panels store exactly the strictly-lower entries, in
+        // (supernode, column, row) order.
+        let Some(at) = self
+            .panels
+            .iter()
+            .enumerate()
+            .filter(|&(_, &v)| v != 0.0)
+            .nth(index)
+            .map(|(at, _)| at)
+        else {
+            panic!("corrupt_panel_value_for_tests: index {index} out of range");
+        };
+        self.panels[at] = f64::from_bits(self.panels[at].to_bits() ^ (1u64 << bit));
     }
+
+    /// Strictly-lower entries of column `jc` of supernode `s`: rows
+    /// `jc + 1..nr` of the supernode's row structure.
+    fn panel_col(&self, s: usize, jc: usize) -> &[f64] {
+        let nr = self.rows_ptr[s + 1] - self.rows_ptr[s];
+        let at = self.panel_ptr[s] + col_off(nr, jc);
+        &self.panels[at..at + nr - jc - 1]
+    }
+}
+
+/// Offset of column `jc` inside a packed panel with `nr` rows, whose
+/// columns store only their strictly-lower entries (`nr − jc − 1` each);
+/// `col_off(nr, w)` is the size of a `w`-column panel.
+fn col_off(nr: usize, jc: usize) -> usize {
+    jc * nr - jc * (jc + 1) / 2
 }
 
 /// Safety factor on the `n·ε` accumulation bound of
@@ -779,6 +844,31 @@ mod tests {
         a.spmv(&xs, &mut ax);
         let res = vector::dist2(&ax, &b) / vector::norm2(&b).max(1.0);
         assert!(res <= 1e-10, "supernodal residual: {res:e}");
+    }
+
+    #[test]
+    fn matches_scalar_on_a_forest_of_dense_roots() {
+        // Two disjoint blocks give two elimination trees; under the natural
+        // ordering the first root is factored in place before the second
+        // tree's panels are written, over storage they later reuse.
+        let (a1, a2) = (laplacian_3d(5), laplacian_3d(4));
+        let (n1, n) = (a1.rows(), a1.rows() + a2.rows());
+        let mut b = CooBuilder::new(n, n);
+        for (off, a) in [(0, &a1), (n1, &a2)] {
+            for i in 0..a.rows() {
+                for (j, v) in a.row(i) {
+                    b.push(off + i, off + j, v);
+                }
+            }
+        }
+        let a = b.to_csr();
+        for ord in [Ordering::Natural, Ordering::MinDegree] {
+            check_against_scalar(&a, ord);
+            assert!(SupernodalLdlt::factor(&a, ord)
+                .unwrap()
+                .verify_abft(&a)
+                .is_ok());
+        }
     }
 
     #[test]
