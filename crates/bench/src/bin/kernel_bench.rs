@@ -3,8 +3,9 @@
 //! Measures the kernels the blocked-kernel overhaul targets, head to head
 //! against their scalar oracles:
 //!
-//! * **LDLᵀ factorization** — scalar up-looking [`SparseLdlt`] vs the
-//!   multifrontal [`SupernodalLdlt`] on RCM-ordered 3D FD Laplacians;
+//! * **LDLᵀ factorization** — scalar up-looking [`dd_solver::SparseLdlt`]
+//!   vs the multifrontal [`dd_solver::SupernodalLdlt`] on RCM-ordered 3D FD
+//!   Laplacians;
 //! * **operator × block-of-vectors** (the `E = WᵀAW` assembly shape) —
 //!   `csrmm` vs the 4-column-blocked `bsrmm` on really-assembled 2D/3D
 //!   elasticity operators (padded-BSR auto-detection included);

@@ -3,9 +3,10 @@
 //! Replaces the substring-matched `dd-lint.allow` with a machine-checked
 //! format: each entry names a rule and the FNV-1a fingerprint of one
 //! specific finding. Fingerprints hash `rule | path | witness` — the
-//! witness carries the enclosing item and a token-rendered snippet but
-//! **no line number**, so entries survive unrelated edits that shift
-//! lines yet go stale the moment the underlying code changes shape.
+//! witness carries the enclosing item and a token-rendered snippet, and
+//! any `line N` it quotes is stripped before hashing, so entries survive
+//! unrelated edits that shift lines yet go stale the moment the
+//! underlying code changes shape.
 //! Stale entries fail CI, exactly as before.
 //!
 //! File format (one entry per line):
@@ -27,12 +28,35 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Fingerprint of a finding: hash of `rule|path|witness` (line-free).
+/// Fingerprint of a finding: hash of `rule|path|witness`, with the
+/// witness's `line N` references stripped first.
 pub fn fingerprint(rule: &str, path: &str, witness: &str) -> String {
+    let witness = strip_line_numbers(witness);
     format!(
         "{:016x}",
         fnv1a(format!("{rule}|{path}|{witness}").as_bytes())
     )
+}
+
+/// The witness with the number after every word `line ` dropped. Flow
+/// witnesses name the line of the branch, loop or guard they blame (`at
+/// line 358`, `acquired line 12`) for the reader; the fingerprint must not
+/// move when code above the finding does.
+fn strip_line_numbers(witness: &str) -> String {
+    let mut out = String::with_capacity(witness.len());
+    let mut rest = witness;
+    while let Some(i) = rest.find("line ") {
+        let (head, tail) = rest.split_at(i + "line ".len());
+        out.push_str(head);
+        let whole_word = !head[..i].ends_with(|c: char| c.is_alphanumeric() || c == '_');
+        rest = if whole_word {
+            tail.trim_start_matches(|c: char| c.is_ascii_digit())
+        } else {
+            tail
+        };
+    }
+    out.push_str(rest);
+    out
 }
 
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -224,6 +248,10 @@ mod tests {
         assert_eq!(a.fingerprint, b.fingerprint);
         let c = f("wallclock", "crates/bench/src/x.rs", "W::g: Instant::now");
         assert_ne!(a.fingerprint, c.fingerprint);
+        assert_eq!(
+            strip_line_numbers("`if` at line 358 on [x] (acquired line 12), pipeline 3"),
+            "`if` at line  on [x] (acquired line ), pipeline 3"
+        );
     }
 
     #[test]

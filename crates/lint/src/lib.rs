@@ -297,6 +297,25 @@ mod tests {
     }
 
     #[test]
+    fn moving_a_finding_down_a_line_keeps_its_fingerprint() {
+        let src =
+            "fn f(comm: &C) {\n    if comm.rank() == 0 {\n        comm.barrier();\n    }\n}\n";
+        let divergence = |src: &str| {
+            run_rules(&[FileModel::new("crates/core/src/spmd.rs", src)])
+                .into_iter()
+                .find(|f| f.rule == "collective-divergence")
+                .expect("rank-dependent barrier is flagged")
+        };
+        let (a, b) = (divergence(src), divergence(&format!("\n{src}")));
+        assert_eq!(b.line, a.line + 1);
+        // The witness still tells the reader which line it blames ...
+        assert!(a.witness.contains("at line 2"), "{}", a.witness);
+        assert!(b.witness.contains("at line 3"), "{}", b.witness);
+        // ... but the fingerprint does not move with it.
+        assert_eq!(a.fingerprint, b.fingerprint);
+    }
+
+    #[test]
     fn json_report_escapes_and_balances() {
         let result = AnalyzeResult {
             findings: vec![Finding {

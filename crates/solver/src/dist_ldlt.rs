@@ -9,28 +9,43 @@
 //! slaves gathered onto it in Algorithm 2) — and factored cooperatively
 //! over the master sub-communicator.
 //!
-//! Because `E` is symmetric, each master stores only the **upper
+//! Because `E` is symmetric, each master owns only the **upper
 //! triangular row strip** `E_p,p..P` (its rows, columns from its own
 //! diagonal block rightwards). This is the distribution §3.1.2 balances:
 //! the non-uniform election equalizes per-group *upper-triangular* value
-//! counts (Figure 5), which is precisely each master's strip size here —
-//! so storage and trailing-update work scale as `1/P` of the redundant
+//! counts (Figure 5), which is precisely each master's strip here — so
+//! storage and trailing-update work scale as `1/P` of the redundant
 //! factor, and the skewed row counts of the non-uniform election cancel
 //! against row length instead of compounding it.
 //!
 //! The factorization is a block LDLᵀ with fan-in of pivot panels: at step
 //! `k` the owner of block row `k` factors its Schur-updated diagonal block
 //! `A'_kk` locally (same boosted static-pivoting policy as the redundant
-//! path), forms the panel `Y_k = A'_kk⁻¹ E'_k,trailing`, and sends each
-//! later master `q` the column range `[bounds[q], dim)` of both `Y_k` and
-//! the raw rows `W_k = E'_k,trailing`. Symmetry gives the receiver its
-//! multiplier from the same message — `E'_qk = E'_kqᵀ` — so it folds the
-//! rank-`n_k` update `E'_q,j ← E'_q,j − Y_kqᵀ W_k,j` into its own strip
+//! path), forms the panel `Y_k = A'_kk⁻¹ W_k` of its raw trailing rows
+//! `W_k = E'_k,trailing`, and sends each later master `q` the column range
+//! `[bounds[q], dim)` of both `Y_k` and `W_k`. Symmetry gives the receiver
+//! its multiplier from the same message — `E'_qk = E'_kqᵀ` — so it folds
+//! the rank-`n_k` update `E'_q,j ← E'_q,j − Y_kqᵀ W_k,j` into its own strip
 //! without ever storing a sub-diagonal block.
 //!
-//! The triangular solves run distributed as well (`E = L D Lᵀ` with
-//! `L_qk = E'_qk A'_kk⁻¹ = Y_kqᵀ` and `D_k = A'_kk`), again entirely off
-//! each master's own strip:
+//! **Column-sparse fan-in.** Subdomains couple only to their neighbours,
+//! so most trailing columns of `W_k` are exactly zero. Each step finds the
+//! set `nz_k` of trailing columns of `W_k` holding any nonzero — afresh at
+//! every step, since for `P > 2` an earlier update can fill in a later
+//! strip. The owner solves for `Y_k` only on `nz_k` (every other column of
+//! `Y_k` is exactly zero), and each receiver updates only the pairs
+//! `(r, j)` with both its row `r` and column `j` in `nz_k`: every skipped
+//! pair would have subtracted an exact `+0.0`, so the strips come out bit
+//! for bit as a dense fan-in leaves them. The message stays the dense
+//! column slice of `(Y_k, W_k)` and the receiver derives `nz_k` from
+//! `W_k`, so the wire format does not depend on the sparsity.
+//!
+//! **Compressed trailing panels.** After its step a master's trailing
+//! columns are frozen as `E'_p,trailing = (D Lᵀ)_p,trailing`; it keeps them
+//! in compressed-column form and drops the dense strip. The triangular
+//! solves (`E = L D Lᵀ` with `L_qk = E'_qk A'_kk⁻¹ = Y_kqᵀ` and
+//! `D_k = A'_kk`) run distributed off those panels alone, visiting only
+//! stored nonzeros in the dense sweeps' row order:
 //!
 //! * forward — master `k` computes `v_k = w_k − Σ_{j<k} E'_jkᵀ t_j` from
 //!   the ν-sized contributions of the earlier masters, solves
@@ -43,12 +58,13 @@
 //! no rooted collectives, so the conformance invariant "rooted traffic
 //! touches only group masters" is preserved by construction. All heavy
 //! arithmetic is charged to the virtual clock via [`Communicator::compute`]
-//! and flop-counted via [`Communicator::charge_flops`], so the telemetry
+//! and flop-counted via [`Communicator::charge_flops`] — the work actually
+//! done on the nonzero columns, not a dense-strip bound — so the telemetry
 //! layer sees the `1/P` scaling the paper claims.
 
 use crate::ldlt::{Ordering, PivotPolicy, SparseLdlt};
 use dd_comm::{CommError, Communicator};
-use dd_linalg::{CooBuilder, DMat};
+use dd_linalg::{CooBuilder, CsrMatrix, DMat};
 use std::sync::Arc;
 
 /// Tags for the factorization panels and the two solve sweeps. The master
@@ -71,14 +87,11 @@ pub struct DistLdlt {
     bounds: Vec<usize>,
     /// This master's block index (its rank on the master communicator).
     my_block: usize,
-    /// This master's upper row strip: rows
-    /// `bounds[my_block]..bounds[my_block + 1]`, columns
-    /// `bounds[my_block]..dim(E)` (local column `j` is global column
-    /// `bounds[my_block] + j`). After [`DistLdlt::factor`], the leading
-    /// `n_p` columns hold the Schur-updated diagonal block (factored
-    /// separately into `diag`) and the trailing columns hold the frozen
-    /// `E'_p,trailing = (D Lᵀ)_p,trailing` panels both sweeps read.
-    strip: DMat,
+    /// This master's frozen trailing panels `E'_p,trailing` in
+    /// compressed-column form, stored as the CSR of their transpose: row
+    /// `c` lists, by increasing local row, the nonzeros of global column
+    /// `bounds[my_block + 1] + c`.
+    panels: CsrMatrix,
     /// Local factor of the Schur-updated diagonal block `A'_pp`.
     diag: SparseLdlt,
     /// Multiply-adds spent in this master's share of the factorization.
@@ -140,20 +153,21 @@ impl DistLdlt {
                 // Factor my Schur-updated diagonal block with the shared
                 // boosted policy, then fan the pivot panel out to the
                 // masters still holding trailing rows. Column `j` of the
-                // panel is global column `c1 + j`, local column `nk + j`.
+                // panel is global column `c1 + j`, local column `nk + j`;
+                // only the columns in `nz_k` are solved, the rest of `Y_k`
+                // is exactly zero.
                 let f = comm.compute(|| factor_diag_block(&strip, nk));
                 let mut panel = vec![0.0; nk * mt];
-                comm.compute(|| {
-                    let mut col = vec![0.0; nk];
-                    for j in 0..mt {
-                        for r in 0..nk {
-                            col[r] = strip[(r, nk + j)];
-                        }
-                        f.solve_in_place(&mut col);
-                        panel[j * nk..(j + 1) * nk].copy_from_slice(&col);
+                let n_solved = comm.compute(|| {
+                    let nz = nonzero_cols(&strip.data()[nk * nk..], nk, mt);
+                    for &j in &nz {
+                        let col = &mut panel[j * nk..(j + 1) * nk];
+                        col.copy_from_slice(strip.col(nk + j));
+                        f.solve_in_place(col);
                     }
+                    nz.len()
                 });
-                let solve_flops = (4 * (f.nnz_l() + nk) * mt) as u64;
+                let solve_flops = (4 * (f.nnz_l() + nk) * n_solved) as u64;
                 comm.charge_flops(solve_flops);
                 flops += solve_flops;
                 for q in me + 1..p {
@@ -165,11 +179,7 @@ impl DistLdlt {
                     let m = dim - bounds[q];
                     let mut msg = vec![0.0; 2 * nk * m];
                     msg[..nk * m].copy_from_slice(&panel[off * nk..(off + m) * nk]);
-                    for j in 0..m {
-                        for r in 0..nk {
-                            msg[nk * m + j * nk + r] = strip[(r, nk + off + j)];
-                        }
-                    }
+                    msg[nk * m..].copy_from_slice(&strip.data()[(nk + off) * nk..]);
                     comm.send(q, TAG_PANEL, msg);
                 }
                 diag = Some(f);
@@ -181,28 +191,35 @@ impl DistLdlt {
                 // Trailing update of my strip only: column `j` of the
                 // received slices is my local column `j`, and my
                 // multiplier rows are the leading `np` columns of `y`.
-                comm.compute(|| {
-                    for j in 0..m {
+                // Only pairs with both `r` and `j` in `nz_k` (read off the
+                // raw rows `w`) can change.
+                let (n_rows, n_cols) = comm.compute(|| {
+                    let nz = nonzero_cols(w, nk, m);
+                    let rows = &nz[..nz.partition_point(|&j| j < np)];
+                    for &j in &nz {
                         let wc = &w[j * nk..(j + 1) * nk];
-                        for r in 0..np {
+                        let sc = strip.col_mut(j);
+                        for &r in rows {
                             let yc = &y[r * nk..(r + 1) * nk];
                             let mut acc = 0.0;
                             for t in 0..nk {
                                 acc += yc[t] * wc[t];
                             }
-                            strip[(r, j)] -= acc;
+                            sc[r] -= acc;
                         }
                     }
+                    (rows.len(), nz.len())
                 });
-                let upd_flops = 2 * (np * nk * m) as u64;
+                let upd_flops = 2 * (n_rows * nk * n_cols) as u64;
                 comm.charge_flops(upd_flops);
                 flops += upd_flops;
             }
         }
+        let panels = comm.compute(|| compress_trailing(&strip, np));
         Ok(DistLdlt {
             bounds,
             my_block: me,
-            strip,
+            panels,
             diag: diag.expect("every master owns exactly one diagonal block"),
             flops,
         })
@@ -228,7 +245,7 @@ impl DistLdlt {
         let me = self.my_block;
         debug_assert_eq!(me, comm.rank());
         let np = self.rows();
-        let r0 = self.row_start();
+        let r1 = self.bounds[me + 1];
         assert_eq!(w_local.len(), np);
         let policy = comm.retry_policy();
         comm.failpoint("e-solve-dist")?;
@@ -248,42 +265,45 @@ impl DistLdlt {
         let t = comm.compute(|| self.diag.solve(&z));
         comm.charge_flops(4 * (self.diag.nnz_l() + np) as u64);
         for q in me + 1..p {
-            // L_q,me t_me = E'_me,qᵀ t_me — my strip's block-q columns.
-            let nq = self.bounds[q + 1] - self.bounds[q];
-            let base = self.bounds[q] - r0;
-            let mut contrib = vec![0.0; nq];
+            // L_q,me t_me = E'_me,qᵀ t_me — my panels' block-q columns.
+            let base = self.bounds[q] - r1;
+            let mut contrib = vec![0.0; self.bounds[q + 1] - self.bounds[q]];
             comm.compute(|| {
                 for (c, cv) in contrib.iter_mut().enumerate() {
                     let mut acc = 0.0;
-                    for (r, &tv) in t.iter().enumerate() {
-                        acc += self.strip[(r, base + c)] * tv;
+                    for (r, v) in self.panels.row(base + c) {
+                        acc += v * t[r];
                     }
                     *cv = acc;
                 }
             });
-            comm.charge_flops(2 * (np * nq) as u64);
+            let rp = self.panels.row_ptr();
+            comm.charge_flops(2 * (rp[base + contrib.len()] - rp[base]) as u64);
             comm.send(q, TAG_FWD, contrib);
         }
         // Backward sweep: x_me = t_me − A'_me,me⁻¹ Σ_{q>me} E'_me,q x_q,
-        // reading the later solution slices against my own strip.
+        // reading the later solution slices against my own panels.
         comm.failpoint("e-solve-dist")?;
         let mut x_me = t;
         if me + 1 < p {
             let mut acc = vec![0.0; np];
             for q in me + 1..p {
                 let xq: Arc<Vec<f64>> = comm.try_recv_timeout(q, TAG_BWD, &policy)?;
-                let base = self.bounds[q] - r0;
-                comm.compute(|| {
+                let base = self.bounds[q] - r1;
+                let visited = comm.compute(|| {
+                    let mut visited = 0;
                     for (c, &xv) in xq.iter().enumerate() {
                         if xv == 0.0 {
                             continue;
                         }
-                        for (r, av) in acc.iter_mut().enumerate() {
-                            *av += self.strip[(r, base + c)] * xv;
+                        for (r, v) in self.panels.row(base + c) {
+                            acc[r] += v * xv;
+                            visited += 1;
                         }
                     }
+                    visited
                 });
-                comm.charge_flops(2 * (np * xq.len()) as u64);
+                comm.charge_flops(2 * visited as u64);
             }
             let corr = comm.compute(|| self.diag.solve(&acc));
             comm.charge_flops(4 * (self.diag.nnz_l() + np) as u64);
@@ -314,22 +334,13 @@ impl DistLdlt {
         self.bounds[self.my_block]
     }
 
-    /// Nonzeros of this master's share of the factorization: the frozen
-    /// trailing panels of its upper strip plus the local diagonal-block
-    /// factor — the per-master `nnz(L)` statistic of the
-    /// redundant-vs-distributed ablation (the redundant path stores the
-    /// **full** `nnz(L)` on every master).
+    /// Nonzeros of this master's share of the factorization: the stored
+    /// trailing panels plus the local diagonal-block factor — the
+    /// per-master `nnz(L)` statistic of the redundant-vs-distributed
+    /// ablation (the redundant path stores the **full** `nnz(L)` on every
+    /// master).
     pub fn nnz_l(&self) -> usize {
-        let np = self.rows();
-        let mut nnz = self.diag.nnz_l() + np; // L block + D of the diagonal
-        for c in np..self.strip.cols() {
-            for r in 0..np {
-                if self.strip[(r, c)] != 0.0 {
-                    nnz += 1;
-                }
-            }
-        }
-        nnz
+        self.diag.nnz_l() + self.rows() + self.panels.nnz()
     }
 
     /// Multiply-adds this master spent in [`DistLdlt::factor`] (panel
@@ -366,6 +377,31 @@ fn factor_diag_block(strip: &DMat, nk: usize) -> SparseLdlt {
         },
     )
     .expect("boosted static pivoting cannot reject a pivot")
+}
+
+/// Indices of the columns holding any nonzero among the first `ncols`
+/// length-`n` columns of the column-major block `cols`.
+fn nonzero_cols(cols: &[f64], n: usize, ncols: usize) -> Vec<usize> {
+    (0..ncols)
+        .filter(|&j| cols[j * n..(j + 1) * n].iter().any(|&v| v != 0.0))
+        .collect()
+}
+
+/// The frozen trailing columns `np..` of a strip in compressed-column
+/// form: the CSR of their transpose, so row `c` is local column `np + c`.
+fn compress_trailing(strip: &DMat, np: usize) -> CsrMatrix {
+    let mut row_ptr = vec![0];
+    let (mut rows, mut values) = (Vec::new(), Vec::new());
+    for j in np..strip.cols() {
+        for (r, &v) in strip.col(j).iter().enumerate() {
+            if v != 0.0 {
+                rows.push(r as u32);
+                values.push(v);
+            }
+        }
+        row_ptr.push(rows.len());
+    }
+    CsrMatrix::from_raw(strip.cols() - np, np, row_ptr, rows, values)
 }
 
 #[cfg(test)]
@@ -444,6 +480,295 @@ mod tests {
 
     fn rhs_for(n: usize) -> Vec<f64> {
         (0..n).map(|i| ((i * 13 + 5) % 17) as f64 - 8.0).collect()
+    }
+
+    /// Block-sparse SPD test matrix: a banded diagonal block per master,
+    /// off-diagonal blocks `(a, b)` (`a < b`) nonzero only when listed in
+    /// `coupled` — and then only on a scattered subset of their columns,
+    /// like neighbouring subdomains in a coarse operator — and a dominant
+    /// diagonal.
+    fn block_sparse_matrix(bounds: &[usize], coupled: &[(usize, usize)]) -> CsrMatrix {
+        let n = *bounds.last().unwrap();
+        let block = |i: usize| bounds.partition_point(|&b| b <= i) - 1;
+        let mut coo = CooBuilder::new(n, n);
+        let mut diag: Vec<f64> = (0..n).map(|i| 1.0 + (i % 3) as f64).collect();
+        for i in 0..n {
+            for j in i + 1..n {
+                let (bi, bj) = (block(i), block(j));
+                let banded = bi == bj && j - i <= 2;
+                let couples = coupled.contains(&(bi, bj)) && j % 3 != 1 && (i + j) % 2 == 0;
+                if banded || couples {
+                    let v = -1.0 / (1.0 + ((7 * i + 3 * j) % 5) as f64);
+                    coo.push(i, j, v);
+                    coo.push(j, i, v);
+                    diag[i] -= v;
+                    diag[j] -= v;
+                }
+            }
+        }
+        for (i, d) in diag.into_iter().enumerate() {
+            coo.push(i, i, d);
+        }
+        coo.to_csr()
+    }
+
+    /// Sequential replay of the dense fan-in: every trailing column solved,
+    /// every `(row, column)` pair updated. The oracle the column-sparse
+    /// [`DistLdlt`] must reproduce bit for bit.
+    struct DenseReplay {
+        bounds: Vec<usize>,
+        /// Each master's upper strip after the fan-in.
+        strips: Vec<DMat>,
+        diags: Vec<SparseLdlt>,
+        /// Per-master factorization flops by the nonzero-driven formula.
+        factor_flops: Vec<u64>,
+    }
+
+    fn nnz_cols(m: &DMat, cols: std::ops::Range<usize>) -> usize {
+        cols.map(|j| m.col(j).iter().filter(|&&v| v != 0.0).count())
+            .sum()
+    }
+
+    fn dense_replay(a: &CsrMatrix, bounds: &[usize]) -> DenseReplay {
+        let p = bounds.len() - 1;
+        let dim = bounds[p];
+        let mut strips: Vec<DMat> = (0..p)
+            .map(|q| upper_strip(a, bounds[q], bounds[q + 1]))
+            .collect();
+        let mut diags = Vec::new();
+        let mut factor_flops = vec![0u64; p];
+        for k in 0..p {
+            let (c1, nk) = (bounds[k + 1], bounds[k + 1] - bounds[k]);
+            let mt = dim - c1;
+            let (done, rest) = strips.split_at_mut(k + 1);
+            let wk = &done[k];
+            let f = factor_diag_block(wk, nk);
+            let mut y = DMat::zeros(nk, mt);
+            for j in 0..mt {
+                y.col_mut(j).copy_from_slice(wk.col(nk + j));
+                f.solve_in_place(y.col_mut(j));
+            }
+            let nz: Vec<bool> = (0..mt)
+                .map(|j| nnz_cols(wk, nk + j..nk + j + 1) > 0)
+                .collect();
+            let count = |r: std::ops::Range<usize>| nz[r].iter().filter(|&&b| b).count();
+            factor_flops[k] += (4 * (f.nnz_l() + nk) * count(0..mt)) as u64;
+            for (q, sq) in (k + 1..p).zip(rest.iter_mut()) {
+                let off = bounds[q] - c1;
+                let (np, m) = (bounds[q + 1] - bounds[q], dim - bounds[q]);
+                for j in 0..m {
+                    for r in 0..np {
+                        let mut acc = 0.0;
+                        for t in 0..nk {
+                            acc += y[(t, off + r)] * wk[(t, nk + off + j)];
+                        }
+                        sq[(r, j)] -= acc;
+                    }
+                }
+                factor_flops[q] += 2 * (count(off..off + np) * nk * count(off..mt)) as u64;
+            }
+            diags.push(f);
+        }
+        DenseReplay {
+            bounds: bounds.to_vec(),
+            strips,
+            diags,
+            factor_flops,
+        }
+    }
+
+    impl DenseReplay {
+        /// The dense forward/backward sweeps over the replayed strips:
+        /// the solution and the per-master flops by the nonzero-driven
+        /// formula.
+        fn solve(&self, w: &[f64]) -> (Vec<f64>, Vec<u64>) {
+            let b = &self.bounds;
+            let p = b.len() - 1;
+            let mut flops = vec![0u64; p];
+            let mut contrib = vec![vec![Vec::new(); p]; p];
+            let mut ts = Vec::new();
+            for k in 0..p {
+                let (r0, np, s) = (b[k], b[k + 1] - b[k], &self.strips[k]);
+                let mut z = w[r0..b[k + 1]].to_vec();
+                for c in contrib.iter().take(k) {
+                    for (zi, v) in z.iter_mut().zip(&c[k]) {
+                        *zi -= v;
+                    }
+                    flops[k] += np as u64;
+                }
+                let t = self.diags[k].solve(&z);
+                flops[k] += 4 * (self.diags[k].nnz_l() + np) as u64;
+                for q in k + 1..p {
+                    let base = b[q] - r0;
+                    contrib[k][q] = (base..base + b[q + 1] - b[q])
+                        .map(|c| {
+                            let mut acc = 0.0;
+                            for (r, tv) in t.iter().enumerate() {
+                                acc += s[(r, c)] * tv;
+                            }
+                            acc
+                        })
+                        .collect();
+                    flops[k] += 2 * nnz_cols(s, base..base + b[q + 1] - b[q]) as u64;
+                }
+                ts.push(t);
+            }
+            let mut xs = vec![Vec::new(); p];
+            for k in (0..p).rev() {
+                let (r0, np, s) = (b[k], b[k + 1] - b[k], &self.strips[k]);
+                let mut x = ts[k].clone();
+                if k + 1 < p {
+                    let mut acc = vec![0.0; np];
+                    for (q, xq) in xs.iter().enumerate().skip(k + 1) {
+                        let base = b[q] - r0;
+                        for (c, &xv) in xq.iter().enumerate() {
+                            if xv == 0.0 {
+                                continue;
+                            }
+                            for (r, av) in acc.iter_mut().enumerate() {
+                                *av += s[(r, base + c)] * xv;
+                            }
+                            flops[k] += 2 * nnz_cols(s, base + c..base + c + 1) as u64;
+                        }
+                    }
+                    let corr = self.diags[k].solve(&acc);
+                    flops[k] += 4 * (self.diags[k].nnz_l() + np) as u64;
+                    for (xi, c) in x.iter_mut().zip(&corr) {
+                        *xi -= c;
+                    }
+                }
+                xs[k] = x;
+            }
+            (xs.concat(), flops)
+        }
+    }
+
+    /// Run the distributed factorization and one solve per right-hand side
+    /// on a traced world and pin every master to the dense replay: bit-equal
+    /// frozen panels and solutions, equal `nnz_l()`, and charged flops equal
+    /// to the nonzero-driven formula. Returns the replay for case-specific
+    /// checks.
+    fn check_against_dense_replay(
+        a: &CsrMatrix,
+        bounds: &[usize],
+        rhs: &[Vec<f64>],
+    ) -> DenseReplay {
+        let p = bounds.len() - 1;
+        let replay = dense_replay(a, bounds);
+        let (a2, b2, rhs2) = (a.clone(), bounds.to_vec(), rhs.to_vec());
+        let (per_rank, trace) = World::run_traced(p, CostModel::default(), move |comm| {
+            let me = comm.rank();
+            comm.trace_phase("factor");
+            let f = DistLdlt::factor(comm, b2.clone(), upper_strip(&a2, b2[me], b2[me + 1]));
+            let xs: Vec<Vec<f64>> = rhs2
+                .iter()
+                .enumerate()
+                .map(|(i, w)| {
+                    comm.trace_phase(&format!("solve{i}"));
+                    f.solve(comm, &w[b2[me]..b2[me + 1]])
+                })
+                .collect();
+            (f, xs)
+        });
+        for (q, (f, _)) in per_rank.iter().enumerate() {
+            let np = bounds[q + 1] - bounds[q];
+            let dense = &replay.strips[q];
+            for j in np..dense.cols() {
+                for r in 0..np {
+                    let (d, s) = (dense[(r, j)], f.panels.get(j - np, r));
+                    assert!(
+                        d.to_bits() == s.to_bits() || (d == 0.0 && s == 0.0),
+                        "master {q}: frozen panel ({r}, {j}) is {s:e}, dense replay {d:e}"
+                    );
+                }
+            }
+            let dense_nnz = replay.diags[q].nnz_l() + np + nnz_cols(dense, np..dense.cols());
+            assert_eq!(f.nnz_l(), dense_nnz, "master {q}: nnz_l");
+            assert_eq!(
+                f.flops(),
+                replay.factor_flops[q],
+                "master {q}: factor flops"
+            );
+            let charged = trace.ranks[q].phase("factor").unwrap().flops;
+            assert_eq!(
+                charged, replay.factor_flops[q],
+                "master {q}: charged factor flops"
+            );
+        }
+        for (i, w) in rhs.iter().enumerate() {
+            let (x_dense, solve_flops) = replay.solve(w);
+            let x: Vec<f64> = per_rank.iter().flat_map(|(_, xs)| xs[i].clone()).collect();
+            for (g, (a, b)) in x.iter().zip(&x_dense).enumerate() {
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "rhs {i}, row {g}: {a:e} vs dense {b:e}"
+                );
+            }
+            for (q, want) in solve_flops.iter().enumerate() {
+                let charged = trace.ranks[q].phase(&format!("solve{i}")).unwrap().flops;
+                assert_eq!(charged, *want, "rhs {i}, master {q}: charged solve flops");
+            }
+        }
+        replay
+    }
+
+    /// `rhs_for(n)` and the zero right-hand side, whose all-zero solution
+    /// slices the backward sweep skips without charging them.
+    fn rhs_pair(bounds: &[usize]) -> Vec<Vec<f64>> {
+        let n = *bounds.last().unwrap();
+        vec![rhs_for(n), vec![0.0; n]]
+    }
+
+    #[test]
+    fn sparse_fan_in_matches_dense_replay_p2() {
+        let bounds = [0, 11, 23];
+        let a = block_sparse_matrix(&bounds, &[(0, 1)]);
+        let replay = check_against_dense_replay(&a, &bounds, &rhs_pair(&bounds));
+        // The coupling block really is column-sparse.
+        let s = &replay.strips[0];
+        assert!((11..s.cols()).any(|j| nnz_cols(s, j..j + 1) == 0));
+        assert!(nnz_cols(s, 11..s.cols()) > 0);
+    }
+
+    #[test]
+    fn sparse_fan_in_matches_dense_replay_p3_with_fill_in() {
+        // Blocks 1 and 2 are uncoupled in the input; block 0 couples to
+        // both, so step 0's update fills in strip 1's block-2 columns and
+        // step 1 must pick up the new `nz_1`.
+        let bounds = [0, 9, 17, 26];
+        let a = block_sparse_matrix(&bounds, &[(0, 1), (0, 2)]);
+        let before = upper_strip(&a, 9, 17);
+        assert_eq!(nnz_cols(&before, 8..before.cols()), 0);
+        let replay = check_against_dense_replay(&a, &bounds, &rhs_pair(&bounds));
+        let after = &replay.strips[1];
+        assert!(nnz_cols(after, 8..after.cols()) > 0, "no fill-in happened");
+    }
+
+    #[test]
+    fn sparse_fan_in_matches_dense_replay_p4_fully_coupled() {
+        let n = 22;
+        let bounds = [0, 5, 10, 16, 22];
+        check_against_dense_replay(&test_matrix(n, n), &bounds, &rhs_pair(&bounds));
+    }
+
+    #[test]
+    fn sparse_fan_in_matches_dense_replay_with_all_zero_trailing_blocks() {
+        // P = 2 block diagonal: `nz_0` is empty. P = 4: block 3 couples to
+        // nothing, so every strip's block-3 columns stay zero.
+        let bounds = [0, 8, 15];
+        check_against_dense_replay(
+            &block_sparse_matrix(&bounds, &[]),
+            &bounds,
+            &rhs_pair(&bounds),
+        );
+        let bounds = [0, 6, 13, 19, 26];
+        let a = block_sparse_matrix(&bounds, &[(0, 1), (1, 2), (0, 2)]);
+        let replay = check_against_dense_replay(&a, &bounds, &rhs_pair(&bounds));
+        for (q, s) in replay.strips.iter().enumerate().take(3) {
+            let base = 19 - bounds[q];
+            assert_eq!(nnz_cols(s, base..s.cols()), 0);
+        }
     }
 
     #[test]
